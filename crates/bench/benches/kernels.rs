@@ -1,9 +1,11 @@
 //! Criterion microbenchmarks for the hot kernels: k-mer extraction,
-//! owner hashing, the sorting substrate, and end-to-end threaded counting.
+//! owner hashing, the sorting substrate, end-to-end threaded counting,
+//! and point lookups in a loaded serve shard.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dakc_io::{generate_genome, simulate_reads, GenomeSpec, ReadSimConfig};
 use dakc_kmer::{kmers_of_read, owner_pe, CanonicalMode, KmerWord};
+use dakc_serve::{encode_shard, Shard};
 use dakc_sort::{hybrid_sort, lsd_radix_sort, msd_radix_sort, parallel_radix_sort, quicksort};
 
 fn reads(n: usize) -> dakc_io::ReadSet {
@@ -168,11 +170,46 @@ fn bench_end_to_end(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_shard_get(c: &mut Criterion) {
+    // A ~500k-record k = 31 shard counted from reads, queried with the
+    // k-mers of fresh reads off the same genome: mostly hits, plus the
+    // misses sequencing errors make in either read set.
+    let genome = generate_genome(&GenomeSpec { bases: 400_000, repeats: None }, 3);
+    let built = simulate_reads(&genome, &ReadSimConfig::art_like(11_000), 3);
+    let table =
+        dakc_baselines::count_kmers_serial::<u64>(&built, 31, CanonicalMode::Forward, false).counts;
+    let shard: Shard<u64> =
+        Shard::from_bytes(&encode_shard(&table, 31, false, 0, 1)).expect("valid shard");
+    let queries: Vec<u64> = simulate_reads(&genome, &ReadSimConfig::art_like(2_000), 4)
+        .iter()
+        .flat_map(|r| kmers_of_read::<u64>(r, 31, CanonicalMode::Forward))
+        .collect();
+    eprintln!(
+        "shard_get: {} records at {:.2} B/record in memory, {} queries",
+        shard.len(),
+        shard.heap_bytes() as f64 / shard.len() as f64,
+        queries.len()
+    );
+    let mut g = c.benchmark_group("shard_get");
+    g.throughput(Throughput::Elements(queries.len() as u64));
+    g.bench_function(format!("k31_{}_records", shard.len()), |b| {
+        b.iter(|| {
+            let mut hits = 0u64;
+            for &q in &queries {
+                hits += u64::from(shard.get(q).is_some());
+            }
+            black_box(hits)
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_extraction,
     bench_owner_hash,
     bench_sorts,
-    bench_end_to_end
+    bench_end_to_end,
+    bench_shard_get
 );
 criterion_main!(benches);

@@ -474,9 +474,10 @@ fn take_span_error<W: KmerWord + RadixKey>(
 /// (`[nbytes: u64 LE]`) followed by `ceil` chunks of
 /// [`encode_events`]-format bytes. Per-peer FIFO ordering makes the
 /// sequence self-delimiting. Non-zero ranks run their final barrier here;
-/// rank 0's caller does after consuming the result. Rank 0 fast-fails
-/// when a peer that still owes frames dies, and times out when no frame
-/// arrives for a full collective deadline.
+/// rank 0's caller does after consuming the result. Rank 0 blocks on its
+/// inbox between frames, fast-fails when a peer that still owes frames
+/// dies (the death wakes the wait), and times out when no frame arrives
+/// for a full collective deadline.
 type Gathered<W, T> = Option<(T, Vec<KmerCount<W>>, MetricsRegistry, Vec<Event>)>;
 
 fn gather<W: KmerWord, T: Transport>(
@@ -530,7 +531,8 @@ fn gather<W: KmerWord, T: Transport>(
     let mut outstanding = n - 1;
     let mut last_frame = Instant::now();
     while outstanding > 0 {
-        let Some((src, bytes)) = transport.try_recv()? else {
+        let wait = opts.tuning.collective_timeout.saturating_sub(last_frame.elapsed());
+        let Some((src, bytes)) = transport.recv_timeout(wait)? else {
             // Nothing arrived: fail fast on a dead debtor, then on silence.
             if let Some(p) =
                 (0..n).find(|&p| states[p] != PeerState::Done && transport.peer_dead(p))
@@ -550,7 +552,6 @@ fn gather<W: KmerWord, T: Transport>(
                     format!("ranks {owing:?} still owe frames; {}", transport.diagnostics()),
                 ));
             }
-            std::thread::sleep(std::time::Duration::from_micros(200));
             continue;
         };
         last_frame = Instant::now();

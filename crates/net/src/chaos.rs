@@ -41,6 +41,13 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// Longest single wait of an armed wrapper's `recv_timeout`. Scripted
+/// faults and held frames come due at operation counts, and a blocked
+/// rank's operation clock only advances when it calls in again; waiting
+/// in slices this long keeps an idle rank's clock ticking at the pace the
+/// old 200 µs receive polling set.
+const ARMED_WAIT_SLICE: Duration = Duration::from_micros(200);
+
 /// How many entries the fault log keeps (oldest kept; it is a debugging
 /// aid, not a metric — totals live in `net.injected_faults`).
 const FAULT_LOG_CAP: usize = 1024;
@@ -463,6 +470,24 @@ impl<T: Transport> Transport for ChaosTransport<T> {
         self.inner.try_recv()
     }
 
+    fn recv_timeout(&mut self, timeout: Duration) -> NetResult<Option<(Rank, Vec<u8>)>> {
+        self.tick()?;
+        if self.cfg.is_off() {
+            return self.inner.recv_timeout(timeout);
+        }
+        self.release(false)?;
+        // A held frame is due at a later operation, so a wrapper holding
+        // one must not block at all: the caller's next call is what
+        // releases it. Otherwise wait one slice, so scripted faults on an
+        // idle rank still come due.
+        let wait = if self.delayed.is_empty() {
+            timeout.min(ARMED_WAIT_SLICE)
+        } else {
+            Duration::ZERO
+        };
+        self.inner.recv_timeout(wait)
+    }
+
     fn flush(&mut self) -> NetResult<()> {
         self.tick()?;
         if !self.cfg.is_off() {
@@ -694,6 +719,39 @@ mod tests {
             assert_eq!(peer.try_recv().unwrap(), Some((0, vec![i])), "FIFO preserved");
         }
         assert_eq!(chaos.stats().injected_faults, 5);
+    }
+
+    #[test]
+    fn recv_timeout_never_blocks_on_held_frames() {
+        // Every send is held; the sender then only waits on its inbox.
+        // Its waits must keep releasing held frames (no flush needed),
+        // never parking for the full timeout while holding one.
+        let mut mesh = Loopback::mesh(2);
+        let mut peer = mesh.pop().unwrap();
+        let cfg = ChaosConfig::parse("delay=1000", 3, 0).unwrap();
+        let mut chaos = ChaosTransport::new(mesh.remove(0), cfg);
+        for i in 0..10u8 {
+            chaos.send(1, &[i]).unwrap();
+        }
+        let mut got = Vec::new();
+        while let Some((_, f)) = peer.try_recv().unwrap() {
+            got.push(f[0]);
+        }
+        assert!(got.len() < 10, "the latest sends are still held");
+        let start = std::time::Instant::now();
+        while got.len() < 10 {
+            assert_eq!(chaos.recv_timeout(Duration::from_secs(30)).unwrap(), None);
+            while let Some((_, f)) = peer.try_recv().unwrap() {
+                got.push(f[0]);
+            }
+        }
+        assert!(start.elapsed() < Duration::from_secs(10), "waited on a held frame");
+        assert_eq!(got, (0..10).collect::<Vec<u8>>(), "every held frame, in order");
+        // Idle and holding nothing, an armed wrapper still returns within
+        // one slice so its operation clock keeps moving.
+        let start = std::time::Instant::now();
+        assert_eq!(chaos.recv_timeout(Duration::from_secs(30)).unwrap(), None);
+        assert!(start.elapsed() < Duration::from_secs(10));
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //!
 //! [`Loopback::mesh`] builds all N endpoints at once; hand one to each
 //! thread (they are `Send`). Delivery is a per-rank FIFO of `(src, bytes)`
-//! pairs, so per-peer ordering matches the TCP backend. Barriers use a
+//! pairs, so per-peer ordering matches the TCP backend; a condition
+//! variable per inbox wakes a rank blocked in `recv_timeout` the moment a
+//! frame is pushed. Barriers use a
 //! deadline-aware [`TimedBarrier`]: when a peer errors out and never
 //! arrives, the survivors fail with [`NetError::Timeout`] after the
 //! configured collective deadline instead of hanging forever — the same
@@ -84,6 +86,8 @@ type Inbox = Mutex<VecDeque<(Rank, Vec<u8>)>>;
 struct Shared {
     /// One inbox per rank.
     inboxes: Vec<Inbox>,
+    /// Signalled on every push into the matching inbox.
+    arrivals: Vec<Condvar>,
     barrier: TimedBarrier,
     /// Per-rank `(sent, received)` contributions for the current
     /// termination round.
@@ -113,6 +117,7 @@ impl Loopback {
         assert!(n > 0, "mesh needs at least one rank");
         let shared = Arc::new(Shared {
             inboxes: (0..n).map(|_| Mutex::new(VecDeque::new())).collect(),
+            arrivals: (0..n).map(|_| Condvar::new()).collect(),
             barrier: TimedBarrier::new(n),
             term: Mutex::new(vec![(0, 0); n]),
         });
@@ -126,6 +131,15 @@ impl Loopback {
                 tuning: tuning.clone(),
             })
             .collect()
+    }
+
+    /// Counts a frame pulled from the inbox as received.
+    fn delivered(&mut self, got: Option<(Rank, Vec<u8>)>) -> Option<(Rank, Vec<u8>)> {
+        if let Some((src, bytes)) = &got {
+            self.stats.peers[*src].frames_recv += 1;
+            self.stats.peers[*src].bytes_recv += bytes.len() as u64;
+        }
+        got
     }
 
     fn wait_barrier(&self, phase: &str) -> NetResult<()> {
@@ -152,6 +166,7 @@ impl Transport for Loopback {
             .lock()
             .expect("inbox")
             .push_back((self.rank, frame.to_vec()));
+        self.shared.arrivals[dest].notify_one();
         Ok(())
     }
 
@@ -160,11 +175,28 @@ impl Transport for Loopback {
             .lock()
             .expect("inbox")
             .pop_front();
-        if let Some((src, ref bytes)) = got {
-            self.stats.peers[src].frames_recv += 1;
-            self.stats.peers[src].bytes_recv += bytes.len() as u64;
-        }
-        Ok(got)
+        Ok(self.delivered(got))
+    }
+
+    fn recv_timeout(&mut self, timeout: Duration) -> NetResult<Option<(Rank, Vec<u8>)>> {
+        let start = Instant::now();
+        let got = {
+            let mut inbox = self.shared.inboxes[self.rank].lock().expect("inbox");
+            loop {
+                if let Some(frame) = inbox.pop_front() {
+                    break Some(frame);
+                }
+                let left = timeout.saturating_sub(start.elapsed());
+                if left.is_zero() {
+                    break None;
+                }
+                inbox = self.shared.arrivals[self.rank]
+                    .wait_timeout(inbox, left)
+                    .expect("inbox")
+                    .0;
+            }
+        };
+        Ok(self.delivered(got))
     }
 
     fn flush(&mut self) -> NetResult<()> {
@@ -261,6 +293,26 @@ mod tests {
         assert_eq!(h.join().unwrap(), 1);
         assert_eq!(t0.stats().frames_sent(), 1);
         assert_eq!(t0.stats().frames_recv(), 1);
+    }
+
+    #[test]
+    fn recv_timeout_wakes_on_send_and_times_out_when_idle() {
+        let mut mesh = Loopback::mesh(2);
+        let mut t1 = mesh.pop().unwrap();
+        let mut t0 = mesh.pop().unwrap();
+        let start = Instant::now();
+        assert_eq!(t0.recv_timeout(Duration::from_millis(40)).unwrap(), None);
+        assert!(start.elapsed() >= Duration::from_millis(40));
+        let h = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            t1.send(0, b"late").unwrap();
+        });
+        let start = Instant::now();
+        let got = t0.recv_timeout(Duration::from_secs(30)).unwrap();
+        assert_eq!(got, Some((1, b"late".to_vec())));
+        assert!(start.elapsed() < Duration::from_secs(10), "woken by the send");
+        assert_eq!(t0.stats().frames_recv(), 1);
+        h.join().unwrap();
     }
 
     #[test]

@@ -1237,6 +1237,26 @@ impl Transport for TcpTransport {
         }
     }
 
+    fn recv_timeout(&mut self, timeout: Duration) -> NetResult<Option<(Rank, Vec<u8>)>> {
+        if let Some(frame) = self.try_recv()? {
+            return Ok(Some(frame));
+        }
+        // The inbox is drained: park on it until the reader threads feed
+        // the next event. A data frame is handed straight back; any other
+        // event (a peer gone, a control frame) ends the wait so the caller
+        // sees it through `peer_dead` and its own checks.
+        match self.rx.recv_timeout(timeout) {
+            Ok(ev) => {
+                self.absorb(ev)?;
+                self.try_recv()
+            }
+            Err(mpsc::RecvTimeoutError::Timeout) => Ok(None),
+            Err(mpsc::RecvTimeoutError::Disconnected) => Err(NetError::Protocol {
+                detail: format!("rank {}: inbox channel closed", self.rank),
+            }),
+        }
+    }
+
     fn flush(&mut self) -> NetResult<()> {
         for dest in 0..self.n {
             match self.flush_peer(dest) {
@@ -1627,6 +1647,57 @@ mod tests {
         let mut results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         results.sort();
         assert_eq!(results, vec![(0, 0), (1, 100)]);
+    }
+
+    #[test]
+    fn recv_timeout_returns_none_after_the_timeout_on_an_idle_mesh() {
+        let mut mesh = tcp_mesh(2);
+        let _t1 = mesh.pop().unwrap();
+        let mut t0 = mesh.pop().unwrap();
+        let start = Instant::now();
+        assert_eq!(t0.recv_timeout(Duration::from_millis(100)).unwrap(), None);
+        let waited = start.elapsed();
+        assert!(waited >= Duration::from_millis(100), "returned early: {waited:?}");
+        assert!(waited < Duration::from_secs(5), "overslept: {waited:?}");
+        assert!(!t0.peer_dead(1));
+    }
+
+    #[test]
+    fn recv_timeout_wakes_on_a_frame_sent_mid_wait() {
+        let mut mesh = tcp_mesh(2);
+        let mut t1 = mesh.pop().unwrap();
+        let mut t0 = mesh.pop().unwrap();
+        let h = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            t1.send(0, b"mid-wait").unwrap();
+            t1.flush().unwrap();
+            t1
+        });
+        let start = Instant::now();
+        let got = t0.recv_timeout(Duration::from_secs(30)).unwrap();
+        assert_eq!(got, Some((1, b"mid-wait".to_vec())));
+        assert!(start.elapsed() < Duration::from_secs(10), "woken by the frame");
+        assert_eq!(t0.stats().frames_recv(), 1, "counted like try_recv");
+        drop(h.join().unwrap());
+    }
+
+    #[test]
+    fn recv_timeout_ends_when_a_peer_dies() {
+        let mut mesh = tcp_mesh(2);
+        let t1 = mesh.pop().unwrap();
+        let mut t0 = mesh.pop().unwrap();
+        let h = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            drop(t1);
+        });
+        let start = Instant::now();
+        // A clean EOF is not an error: the wait just ends, and the death
+        // is visible to the caller's liveness check.
+        while !t0.peer_dead(1) {
+            assert_eq!(t0.recv_timeout(Duration::from_secs(30)).unwrap(), None);
+        }
+        assert!(start.elapsed() < Duration::from_secs(10), "woken by the death");
+        h.join().unwrap();
     }
 
     #[test]

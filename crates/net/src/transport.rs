@@ -17,8 +17,12 @@
 //!   before another did, making a transient snapshot look balanced; the
 //!   confirming round proves no traffic moved in between.
 //!
+//! Receivers that have nothing else to do block in
+//! [`Transport::recv_timeout`], which wakes on the frame's arrival (or a
+//! peer's death) instead of sleep-polling `try_recv`.
+//!
 //! Receives are counted when the *application* pulls a frame with
-//! `try_recv`, not when bytes land in an OS buffer: an unprocessed
+//! `try_recv` or `recv_timeout`, not when bytes land in an OS buffer: an unprocessed
 //! conveyor buffer can still generate relay traffic (2D/3D routing), so
 //! only consumed frames may count toward quiescence.
 //!
@@ -313,6 +317,15 @@ pub trait Transport: Send {
     /// arrive in send order; no order holds across peers. Surfaces a
     /// corrupt peer stream as a typed error.
     fn try_recv(&mut self) -> NetResult<Option<(Rank, Vec<u8>)>>;
+
+    /// Waits up to `timeout` for the next data frame and returns it as
+    /// soon as it arrives — the blocking counterpart of
+    /// [`Transport::try_recv`], with the same ordering and receive
+    /// accounting. `None` means the wait ended without a frame: the
+    /// timeout passed, or a non-data event (a peer's connection ending)
+    /// woke it early, so the caller can re-check
+    /// [`Transport::peer_dead`] and its own deadlines without polling.
+    fn recv_timeout(&mut self, timeout: Duration) -> NetResult<Option<(Rank, Vec<u8>)>>;
 
     /// Pushes every buffered send to the wire.
     fn flush(&mut self) -> NetResult<()>;

@@ -106,7 +106,8 @@ impl<W: KmerWord, T: Transport> QueryClient<W, T> {
         let mut hellos: Vec<Option<Ready>> = vec![None; servers];
         let start = Instant::now();
         while hellos.iter().any(Option::is_none) {
-            match transport.try_recv().map_err(ServeError::from)? {
+            let wait = tuning.connect_timeout.saturating_sub(start.elapsed());
+            match transport.recv_timeout(wait).map_err(ServeError::from)? {
                 Some((src, bytes)) => {
                     if src >= servers {
                         continue;
@@ -133,7 +134,6 @@ impl<W: KmerWord, T: Transport> QueryClient<W, T> {
                             format!("no READY from server ranks {missing:?}"),
                         )));
                     }
-                    std::thread::sleep(std::time::Duration::from_micros(200));
                 }
             }
         }
@@ -339,7 +339,8 @@ impl<W: KmerWord, T: Transport> QueryClient<W, T> {
         let deadline = self.tuning.collective_timeout;
         let mut last_progress = Instant::now();
         while !pending.is_empty() {
-            match self.transport.try_recv().map_err(ServeError::from)? {
+            let wait = deadline.saturating_sub(last_progress.elapsed());
+            match self.transport.recv_timeout(wait).map_err(ServeError::from)? {
                 Some((src, bytes)) => {
                     let Some(resp) = decode_response::<W>(src, &bytes, self.word_bytes)?
                     else {
@@ -406,9 +407,6 @@ impl<W: KmerWord, T: Transport> QueryClient<W, T> {
                             }
                         }
                     }
-                    if !pending.is_empty() {
-                        std::thread::sleep(std::time::Duration::from_micros(50));
-                    }
                 }
             }
         }
@@ -452,7 +450,8 @@ impl<W: KmerWord, T: Transport> QueryClient<W, T> {
         let deadline = self.tuning.collective_timeout;
         let mut last_progress = Instant::now();
         while !pending.is_empty() {
-            match self.transport.try_recv().map_err(ServeError::from)? {
+            let wait = deadline.saturating_sub(last_progress.elapsed());
+            match self.transport.recv_timeout(wait).map_err(ServeError::from)? {
                 Some((src, bytes)) => {
                     let Some(resp) = decode_response::<W>(src, &bytes, self.word_bytes)?
                     else {
@@ -501,9 +500,6 @@ impl<W: KmerWord, T: Transport> QueryClient<W, T> {
                             }
                             None => unavailable.push(owner),
                         }
-                    }
-                    if !pending.is_empty() {
-                        std::thread::sleep(std::time::Duration::from_micros(50));
                     }
                 }
             }

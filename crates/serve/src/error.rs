@@ -74,6 +74,13 @@ pub enum ServeError {
         /// Block where the order violation was found.
         block: usize,
     },
+    /// A record's k-mer has bits set above the header's `2k` (a
+    /// logically invalid writer: no `k`-mer has them, and the loaded
+    /// shard keeps only the low `2k` bits of each key).
+    KeyOutOfRange {
+        /// Block holding the offending record.
+        block: usize,
+    },
     /// An I/O failure reading or writing a shard file.
     Io {
         /// What was being done (usually a path).
@@ -131,6 +138,9 @@ impl std::fmt::Display for ServeError {
             ),
             ServeError::Unsorted { block } => {
                 write!(f, "shard records out of order in block {block}")
+            }
+            ServeError::KeyOutOfRange { block } => {
+                write!(f, "shard record in block {block} has a k-mer wider than 2k bits")
             }
             ServeError::Io { context, detail } => write!(f, "{context}: {detail}"),
             ServeError::Wire { from, detail } => {

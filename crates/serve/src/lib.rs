@@ -6,19 +6,20 @@
 //! crate keeps that partition alive as a service instead of gathering
 //! it to rank 0 and exiting:
 //!
-//! - [`shard`] — the immutable on-disk shard format: a versioned
-//!   header, the 2-bit-packed sorted records, a sampled prefix index
-//!   for `O(log B)` block lookup with per-block content checksums, and
-//!   a checksummed footer. Loading is fallible and typed
-//!   ([`ServeError`]) — a damaged file names its damage class, never
-//!   panics.
+//! - [`shard`] — the immutable on-disk shard format (a versioned
+//!   header, the 2-bit-packed sorted records, a sampled block index
+//!   with per-block content checksums, and a checksummed footer) and its
+//!   loader. Loading is fallible and typed ([`ServeError`]) — a damaged
+//!   file names its damage class, never panics — and decodes the
+//!   records into a compact radix-indexed layout: a lookup is one
+//!   directory read plus a binary search in one small bucket.
 //! - [`wire`] — the request/response protocol (point lookup, batched
 //!   multi-lookup, count histogram, top-N) carried in the transport's
 //!   `Query`/`Reply` frame kinds.
 //! - [`server`] — the resident request loop: a rank announces READY,
-//!   then answers queries against its shard until the client shuts the
-//!   session down. Heartbeats keep flowing ([`Phase::Serve`]), so the
-//!   supervisor doubles as the health check.
+//!   then blocks on its inbox and answers each query as it lands, until
+//!   the client shuts the session down. Heartbeats keep flowing
+//!   ([`Phase::Serve`]), so the supervisor doubles as the health check.
 //! - [`client`] — the batching frontend: keys grouped by owner rank,
 //!   one frame per owner, per-query latency through the standard
 //!   `flow.*` histograms, and typed partial results

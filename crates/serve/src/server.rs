@@ -5,10 +5,12 @@
 //! client frontend as the last rank. Unlike the count path, the loop
 //! never runs termination rounds — quiescence is the *opposite* of what
 //! a service wants — which is exactly why [`dakc::count_partition`]
-//! hands the transport back alive. Liveness is the supervisor's job: the
-//! worker's heartbeat thread keeps beating while this loop spins, so a
-//! hung server surfaces at the launcher as a stale rank, and the phase
-//! it reports is [`Phase::Serve`].
+//! hands the transport back alive. The loop blocks on its inbox between
+//! requests ([`Transport::recv_timeout`]) and wakes the moment a query
+//! lands, so per-request latency carries no polling sleep. Liveness is
+//! the supervisor's job: the worker's heartbeat thread keeps beating
+//! while this loop waits, so a hung server surfaces at the launcher as a
+//! stale rank, and the phase it reports is [`Phase::Serve`].
 //!
 //! Exit conditions: a client SHUTDOWN (clean, returns stats), the client
 //! disconnecting (clean — the session is over), or a typed transport
@@ -28,10 +30,8 @@ use crate::wire::{
     decode_request, encode_ready, encode_response, Ready, Request, Response,
 };
 
-/// How long the request loop sleeps when the mesh is idle.
-const IDLE_SLEEP: Duration = Duration::from_micros(200);
-
-/// How often idle-loop traffic totals are pushed to the heartbeat state.
+/// How often idle-loop traffic totals are pushed to the heartbeat state;
+/// also the longest the loop blocks on its inbox in one wait.
 const MONITOR_PERIOD: Duration = Duration::from_millis(100);
 
 /// Server-side options.
@@ -135,7 +135,8 @@ where
     let mut stats = ServeStats::default();
     let mut last_monitor = Instant::now();
     loop {
-        let frame = transport.try_recv()?;
+        let wait = MONITOR_PERIOD.saturating_sub(last_monitor.elapsed());
+        let frame = transport.recv_timeout(wait)?;
         let Some((src, bytes)) = frame else {
             if transport.peer_dead(client) {
                 // The client is gone: the session is over. Not an error —
@@ -143,14 +144,13 @@ where
                 // normal end of a serve session.
                 break;
             }
-            if let Some(m) = &opts.monitor {
-                if last_monitor.elapsed() >= MONITOR_PERIOD {
+            if last_monitor.elapsed() >= MONITOR_PERIOD {
+                if let Some(m) = &opts.monitor {
                     let s = transport.stats();
                     m.record_traffic(s.frames_sent(), s.frames_recv(), s.retries);
-                    last_monitor = Instant::now();
                 }
+                last_monitor = Instant::now();
             }
-            std::thread::sleep(IDLE_SLEEP);
             continue;
         };
         if src != client {

@@ -2,10 +2,18 @@
 //!
 //! One shard file holds one rank's owner-partitioned, sorted
 //! `{kmer, count}` run — exactly the table [`dakc::count_partition`]
-//! leaves each rank holding after phase 2. The layout is Gerbil-style
-//! two-stage: a flat sorted record region plus a sampled prefix index
-//! (the first k-mer of every block), so a point lookup is one binary
-//! search over the sampled index followed by one within a single block.
+//! leaves each rank holding after phase 2. The file is Gerbil-style
+//! two-stage: a flat sorted record region plus a sampled index holding
+//! the first k-mer and a content checksum of every block.
+//!
+//! A loaded [`Shard`] keeps none of the file image. After verification
+//! the records are decoded into a compact radix-indexed layout: a
+//! directory of `u32` offsets over the top `b` bits of each `2k`-bit key
+//! (`b` chosen for 4–8 records per bucket), the remaining `2k - b` key
+//! bits bit-packed, and the counts bit-packed as wide as the largest
+//! count. A point lookup is one directory read plus a binary search in
+//! one small bucket; at `k = 31` a shard holds about 8–9 B per record in
+//! memory against 12 B in the file.
 //!
 //! ```text
 //! offset  size          field
@@ -35,6 +43,9 @@
 //! generic mismatch. [`Shard::load`] verifies everything eagerly and
 //! never panics on hostile bytes.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 
 use dakc_kmer::{splitmix64, KmerCount, KmerWord};
@@ -188,14 +199,79 @@ pub fn write_shard<W: KmerWord>(
     Ok(())
 }
 
-/// A loaded, fully verified shard, ready to answer lookups.
+/// Fixed-width bit-packed unsigned values (`0..=128` bits each): the
+/// storage behind a loaded shard's key suffixes and counts.
+#[derive(Debug, Clone)]
+struct Packed {
+    words: Vec<u64>,
+    width: u32,
+    mask: u128,
+}
+
+/// The low `bits` bits set (`bits <= 128`).
+fn low_bits(bits: u32) -> u128 {
+    u128::MAX.checked_shr(128 - bits).unwrap_or(0)
+}
+
+impl Packed {
+    /// `len` zeroed slots of `width` bits, plus two spare words so the
+    /// up-to-three-word window of any slot stays inside the array.
+    fn zeroed(width: u32, len: usize) -> Self {
+        let bits = width as usize * len;
+        Self { words: vec![0; bits.div_ceil(64) + 2], width, mask: low_bits(width) }
+    }
+
+    /// Stores `v` (at most `width` bits) into the still-zero slot `i`.
+    fn set(&mut self, i: usize, v: u128) {
+        let bit = i * self.width as usize;
+        let (w, off) = (bit / 64, (bit % 64) as u32);
+        let shifted = v << off;
+        self.words[w] |= shifted as u64;
+        self.words[w + 1] |= (shifted >> 64) as u64;
+        if off + self.width > 128 {
+            self.words[w + 2] |= (v >> (128 - off)) as u64;
+        }
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> u128 {
+        let bit = i * self.width as usize;
+        let (w, off) = (bit / 64, (bit % 64) as u32);
+        let mut v = (u128::from(self.words[w]) | (u128::from(self.words[w + 1]) << 64)) >> off;
+        if off + self.width > 128 {
+            v |= u128::from(self.words[w + 2]) << (128 - off);
+        }
+        v & self.mask
+    }
+}
+
+/// Directory radix for `n` records: the largest `b` with `4 << b <= n`,
+/// so buckets average 4–8 records, capped at the key's `key_bits`.
+fn radix_bits(n: u64, key_bits: u32) -> u32 {
+    (n / 4).checked_ilog2().unwrap_or(0).min(key_bits)
+}
+
+/// A loaded, fully verified shard, ready to answer lookups, in the
+/// compact radix-indexed layout the module docs describe.
 #[derive(Debug, Clone)]
 pub struct Shard<W> {
     meta: ShardMeta,
-    /// Raw record region (fixed-stride `{kmer, count}` entries).
-    records: Vec<u8>,
-    /// First k-mer of each block (the sampled prefix index, decoded).
-    index: Vec<W>,
+    /// All `2k` key bits set: the largest valid k-mer word.
+    key_mask: u128,
+    /// Key bits below the directory radix (`2k - b`).
+    suffix_bits: u32,
+    /// `dir[p]..dir[p + 1]` are the records whose top `b` key bits
+    /// equal `p`; `2^b + 1` entries.
+    dir: Vec<u32>,
+    /// Low `suffix_bits` of each key, in record order.
+    suffixes: Packed,
+    /// Each record's count.
+    counts: Packed,
+    _word: PhantomData<W>,
+}
+
+fn read_count(record: &[u8], word_bytes: usize) -> u32 {
+    u32::from_le_bytes(record[word_bytes..word_bytes + 4].try_into().expect("4 bytes"))
 }
 
 impl<W: KmerWord> Shard<W> {
@@ -209,7 +285,9 @@ impl<W: KmerWord> Shard<W> {
         Self::from_bytes(&bytes)
     }
 
-    /// [`Shard::load`] over an in-memory image.
+    /// [`Shard::load`] over an in-memory image. The image is only read:
+    /// once verified, its records are decoded into the shard's compact
+    /// layout and the caller may drop it.
     pub fn from_bytes(bytes: &[u8]) -> ServeResult<Self> {
         if bytes.len() < SHARD_HEADER_BYTES {
             return Err(ServeError::TruncatedHeader {
@@ -327,7 +405,6 @@ impl<W: KmerWord> Shard<W> {
         // Then every block: content checksum, then strict ordering.
         let wb = word_bytes as usize;
         let rec = rec_bytes as usize;
-        let mut index = Vec::with_capacity(n_blocks as usize);
         for b in 0..n_blocks as usize {
             let e = index_at + b * idx_entry as usize;
             let first: W = read_word(&bytes[e..], wb);
@@ -347,20 +424,49 @@ impl<W: KmerWord> Shard<W> {
             if block_first != first {
                 return Err(ServeError::Unsorted { block: b });
             }
-            index.push(first);
         }
-        let records = bytes[records_at..index_at].to_vec();
+        if n_records > u64::from(u32::MAX) {
+            return Err(ServeError::BadHeader {
+                detail: format!("n_records {n_records} exceeds the u32 record offsets"),
+            });
+        }
+
+        // Strict order, key range and the widest count, in one pass over
+        // the verified image.
+        let region = &bytes[records_at..index_at];
+        let key_mask = W::mask(k as usize).to_u128();
         let mut prev: Option<W> = None;
-        for (i, chunk) in records.chunks_exact(rec).enumerate() {
+        let mut max_count = 0u32;
+        for (i, chunk) in region.chunks_exact(rec).enumerate() {
             let w: W = read_word(chunk, wb);
-            if let Some(p) = prev {
-                if p >= w {
-                    return Err(ServeError::Unsorted {
-                        block: i / block_records as usize,
-                    });
-                }
+            let block = i / block_records as usize;
+            if prev.is_some_and(|p| p >= w) {
+                return Err(ServeError::Unsorted { block });
             }
+            if w.to_u128() > key_mask {
+                return Err(ServeError::KeyOutOfRange { block });
+            }
+            max_count = max_count.max(read_count(chunk, wb));
             prev = Some(w);
+        }
+
+        // Decode: bucket sizes into the directory, then prefix sums turn
+        // them into offsets (sorted keys fill the buckets in order).
+        let n = n_records as usize;
+        let key_bits = 2 * k;
+        let suffix_bits = key_bits - radix_bits(n_records, key_bits);
+        let suffix_mask = low_bits(suffix_bits);
+        let mut dir = vec![0u32; (1usize << (key_bits - suffix_bits)) + 1];
+        let mut suffixes = Packed::zeroed(suffix_bits, n);
+        let mut counts = Packed::zeroed(u32::BITS - max_count.leading_zeros(), n);
+        for (i, chunk) in region.chunks_exact(rec).enumerate() {
+            let v = read_word::<W>(chunk, wb).to_u128();
+            dir[v.checked_shr(suffix_bits).unwrap_or(0) as usize + 1] += 1;
+            suffixes.set(i, v & suffix_mask);
+            counts.set(i, u128::from(read_count(chunk, wb)));
+        }
+        for p in 1..dir.len() {
+            dir[p] += dir[p - 1];
         }
 
         Ok(Self {
@@ -373,8 +479,12 @@ impl<W: KmerWord> Shard<W> {
                 n_records,
                 block_records,
             },
-            records,
-            index,
+            key_mask,
+            suffix_bits,
+            dir,
+            suffixes,
+            counts,
+            _word: PhantomData,
         })
     }
 
@@ -393,42 +503,37 @@ impl<W: KmerWord> Shard<W> {
         self.meta.n_records == 0
     }
 
-    fn record(&self, i: usize) -> (W, u32) {
-        let rec = self.meta.word_bytes as usize + 4;
-        let at = i * rec;
-        let w = read_word(&self.records[at..], self.meta.word_bytes as usize);
-        let c = u32::from_le_bytes(
-            self.records[at + self.meta.word_bytes as usize..at + rec]
-                .try_into()
-                .expect("4 bytes"),
-        );
-        (w, c)
+    /// Heap bytes the loaded shard holds: the directory plus both packed
+    /// arrays.
+    pub fn heap_bytes(&self) -> usize {
+        self.dir.len() * 4 + (self.suffixes.words.len() + self.counts.words.len()) * 8
+    }
+
+    /// The k-mer of record `i`, which lies in directory bucket `p`.
+    fn key(&self, p: usize, i: usize) -> W {
+        let high = (p as u128).checked_shl(self.suffix_bits).unwrap_or(0);
+        W::from_u128(high | self.suffixes.get(i))
     }
 
     /// Point lookup: the count of `w`, or `None` when the k-mer is not in
-    /// this shard. O(log B) over the sampled index, then O(log block).
+    /// this shard. One directory read finds the bucket of `w`'s top key
+    /// bits, then a binary search over that bucket's packed suffixes (4–8
+    /// on average) finds the record.
+    #[inline]
     pub fn get(&self, w: W) -> Option<u32> {
-        if self.is_empty() {
+        let v = w.to_u128();
+        if v > self.key_mask {
             return None;
         }
-        // Last block whose first key is <= w.
-        let b = self.index.partition_point(|&first| first <= w);
-        if b == 0 {
-            return None;
-        }
-        let b = b - 1;
-        let block = self.meta.block_records as usize;
-        let lo = b * block;
-        let hi = (lo + block).min(self.len());
-        let mut left = lo;
-        let mut right = hi;
-        while left < right {
-            let mid = (left + right) / 2;
-            let (k, c) = self.record(mid);
-            match k.cmp(&w) {
-                std::cmp::Ordering::Equal => return Some(c),
-                std::cmp::Ordering::Less => left = mid + 1,
-                std::cmp::Ordering::Greater => right = mid,
+        let p = v.checked_shr(self.suffix_bits).unwrap_or(0) as usize;
+        let want = v & self.suffixes.mask;
+        let (mut lo, mut hi) = (self.dir[p] as usize, self.dir[p + 1] as usize);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            match self.suffixes.get(mid).cmp(&want) {
+                std::cmp::Ordering::Equal => return Some(self.counts.get(mid) as u32),
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
             }
         }
         None
@@ -436,7 +541,9 @@ impl<W: KmerWord> Shard<W> {
 
     /// Iterates every record in sorted order.
     pub fn iter(&self) -> impl Iterator<Item = (W, u32)> + '_ {
-        (0..self.len()).map(|i| self.record(i))
+        self.dir.windows(2).enumerate().flat_map(move |(p, r)| {
+            (r[0] as usize..r[1] as usize).map(move |i| (self.key(p, i), self.counts.get(i) as u32))
+        })
     }
 
     /// Count spectrum: bucket `i` (0-based) holds how many distinct
@@ -444,7 +551,8 @@ impl<W: KmerWord> Shard<W> {
     /// overflow (multiplicity above `max`). `max + 1` buckets total.
     pub fn spectrum(&self, max: u32) -> Vec<u64> {
         let mut buckets = vec![0u64; max as usize + 1];
-        for (_, c) in self.iter() {
+        for i in 0..self.len() {
+            let c = self.counts.get(i) as u32;
             let slot = if c > max { max as usize } else { (c - 1) as usize };
             buckets[slot] += 1;
         }
@@ -452,13 +560,25 @@ impl<W: KmerWord> Shard<W> {
     }
 
     /// The `n` highest-count records, ordered by count descending, k-mer
-    /// ascending among ties.
+    /// ascending among ties. One pass keeps the best `n` in a heap.
     pub fn top_n(&self, n: usize) -> Vec<KmerCount<W>> {
-        let mut all: Vec<KmerCount<W>> =
-            self.iter().map(|(w, c)| KmerCount::new(w, c)).collect();
-        all.sort_by(|a, b| b.count.cmp(&a.count).then(a.kmer.cmp(&b.kmer)));
-        all.truncate(n);
-        all
+        // A min-heap on (count, Reverse(kmer)): its root is the record the
+        // next better one evicts.
+        let mut best: BinaryHeap<Reverse<(u32, Reverse<W>)>> = BinaryHeap::new();
+        for (w, c) in self.iter() {
+            if best.len() < n {
+                best.push(Reverse((c, Reverse(w))));
+            } else if let Some(mut root) = best.peek_mut() {
+                if (c, Reverse(w)) > root.0 {
+                    *root = Reverse((c, Reverse(w)));
+                }
+            }
+        }
+        // Ascending `Reverse` order is descending (count, Reverse(kmer)).
+        best.into_sorted_vec()
+            .into_iter()
+            .map(|Reverse((c, Reverse(w)))| KmerCount::new(w, c))
+            .collect()
     }
 }
 
@@ -497,7 +617,11 @@ mod tests {
         let bytes = encode_shard(&t, 31, false, 0, 1);
         let s: Shard<u64> = Shard::from_bytes(&bytes).unwrap();
         assert_eq!(s.len(), 1000);
-        assert_eq!(s.index.len(), 4, "1000 records at 256/block");
+        assert_eq!(
+            s.len().div_ceil(s.meta().block_records as usize),
+            4,
+            "1000 records at 256/block"
+        );
         for c in &t {
             assert_eq!(s.get(c.kmer), Some(c.count));
         }
@@ -642,6 +766,91 @@ mod tests {
         ));
     }
 
+    /// A strictly sorted table from raw `(key, count)` pairs: keys masked
+    /// to `2k` bits and deduplicated, counts at least 1.
+    fn table_of<W: KmerWord>(k: usize, raw: &[(u128, u32)]) -> Vec<KmerCount<W>> {
+        let mask = W::mask(k).to_u128();
+        let map: std::collections::BTreeMap<u128, u32> =
+            raw.iter().map(|&(key, c)| (key & mask, c.max(1))).collect();
+        map.into_iter().map(|(key, c)| KmerCount::new(W::from_u128(key), c)).collect()
+    }
+
+    /// Loads `t` as a shard and checks `get` (every stored key, and the
+    /// absent keys next to each one and at both ends of the key space),
+    /// `iter`, `spectrum` and `top_n` against the table itself.
+    fn check_against<W: KmerWord>(t: &[KmerCount<W>], k: usize) -> Shard<W> {
+        let s: Shard<W> = Shard::from_bytes(&encode_shard(t, k, false, 0, 1)).unwrap();
+        assert_eq!(s.len(), t.len());
+        for c in t {
+            assert_eq!(s.get(c.kmer), Some(c.count), "stored key {:#x}", c.kmer.to_u128());
+        }
+        let mask = W::mask(k).to_u128();
+        let present = |v: u128| t.binary_search_by_key(&v, |c| c.kmer.to_u128()).is_ok();
+        let mut probes = vec![0, mask];
+        if mask < low_bits(W::BITS) {
+            probes.push(mask + 1); // a word wider than 2k bits
+        }
+        for c in t {
+            let v = c.kmer.to_u128();
+            probes.extend(v.checked_sub(1));
+            probes.extend(v.checked_add(1).filter(|&p| p <= low_bits(W::BITS)));
+        }
+        for p in probes.into_iter().filter(|&p| !present(p)) {
+            assert_eq!(s.get(W::from_u128(p)), None, "absent key {p:#x}");
+        }
+
+        let want: Vec<(W, u32)> = t.iter().map(|c| (c.kmer, c.count)).collect();
+        assert_eq!(s.iter().collect::<Vec<_>>(), want);
+        for max in [1u32, 3, 64] {
+            let mut buckets = vec![0u64; max as usize + 1];
+            for c in t {
+                buckets[(c.count.min(max + 1) - 1) as usize] += 1;
+            }
+            assert_eq!(s.spectrum(max), buckets, "spectrum up to {max}");
+        }
+        let mut ranked = t.to_vec();
+        ranked.sort_by(|a, b| b.count.cmp(&a.count).then(a.kmer.cmp(&b.kmer)));
+        for n in [0, 1, 5, t.len(), t.len() + 3] {
+            assert_eq!(s.top_n(n), ranked[..n.min(t.len())].to_vec(), "top {n}");
+        }
+        s
+    }
+
+    #[test]
+    fn compact_layout_edge_tables() {
+        for k in [15usize, 21, 31, 32] {
+            let mask = u64::mask(k).to_u128();
+            check_against::<u64>(&[], k);
+            check_against::<u64>(&table_of(k, &[(mask / 3, 7)]), k);
+            check_against::<u64>(&table_of(k, &[(0, 2), (1, 1), (mask / 2, 9), (mask, 5)]), k);
+        }
+        for k in [33usize, 63, 64] {
+            let mask = u128::mask(k);
+            check_against::<u128>(&[], k);
+            check_against::<u128>(&table_of(k, &[(mask / 3, 7)]), k);
+            check_against::<u128>(&table_of(k, &[(0, 2), (1, 1), (mask / 2, 9), (mask, 5)]), k);
+        }
+    }
+
+    #[test]
+    fn k31_shard_holds_at_most_9_bytes_per_record() {
+        // 200k spread keys; counts mostly low with a heavy-hitter tail, so
+        // the count width is set by a 100k multiplicity (17 bits).
+        let raw: Vec<(u128, u32)> = (0..200_000u64)
+            .map(|i| {
+                let c = if i % 1000 == 0 { 100_000 } else { (i % 3) as u32 + 1 };
+                (u128::from(splitmix64(i)), c)
+            })
+            .collect();
+        let t = table_of::<u64>(31, &raw);
+        let s: Shard<u64> = Shard::from_bytes(&encode_shard(&t, 31, false, 0, 1)).unwrap();
+        let per_record = s.heap_bytes() as f64 / t.len() as f64;
+        assert!(per_record <= 9.0, "{per_record:.2} B per record");
+        let buckets = s.dir.len() - 1;
+        let avg = t.len() as f64 / buckets as f64;
+        assert!((4.0..8.0).contains(&avg), "{avg:.2} records per bucket");
+    }
+
     proptest! {
         // Any single flipped bit in the record region surfaces as
         // CorruptBlock naming the damaged block — never a panic, never a
@@ -685,6 +894,51 @@ mod tests {
         #[test]
         fn hostile_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..4096)) {
             let _ = Shard::<u64>::from_bytes(&bytes);
+        }
+    }
+
+    /// Arbitrary keys; counts are small for about half the records and
+    /// anywhere up to `u32::MAX` for the rest, so count widths vary.
+    fn raw_table(max_len: usize) -> impl Strategy<Value = Vec<(u128, u32)>> {
+        prop::collection::vec((any::<u128>(), any::<u32>(), any::<bool>()), 0..max_len).prop_map(
+            |raw| {
+                raw.into_iter()
+                    .map(|(key, c, small)| (key, if small { c % 3 + 1 } else { c }))
+                    .collect()
+            },
+        )
+    }
+
+    proptest! {
+        #[test]
+        fn compact_u64_shard_matches_its_table(
+            raw in raw_table(700),
+            k in prop::sample::select(vec![15usize, 21, 31, 32]),
+        ) {
+            check_against::<u64>(&table_of(k, &raw), k);
+        }
+
+        #[test]
+        fn compact_u128_shard_matches_its_table(
+            raw in raw_table(700),
+            k in prop::sample::select(vec![33usize, 63]),
+        ) {
+            check_against::<u128>(&table_of(k, &raw), k);
+        }
+
+        // Keys sharing a poly-A prefix (only their last six bases vary)
+        // all fall into directory bucket 0, which must still be searched
+        // correctly however large it grows.
+        #[test]
+        fn poly_a_prefix_keys_share_one_bucket(
+            raw in prop::collection::vec((0u64..4096, 1u32..1000), 1..700),
+            k in prop::sample::select(vec![15usize, 21, 31, 32]),
+        ) {
+            let raw: Vec<(u128, u32)> = raw.into_iter().map(|(v, c)| (u128::from(v), c)).collect();
+            let s = check_against::<u64>(&table_of(k, &raw), k);
+            prop_assert_eq!(s.dir[1] as usize, s.len());
+            let s = check_against::<u128>(&table_of(k + 31, &raw), k + 31);
+            prop_assert_eq!(s.dir[1] as usize, s.len());
         }
     }
 }

@@ -95,7 +95,7 @@ impl JsonValue {
 
 /// Parses a complete JSON document; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<JsonValue, String> {
-    let mut p = Parser { bytes: input.as_bytes(), at: 0 };
+    let mut p = Parser { text: input, bytes: input.as_bytes(), at: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -106,6 +106,7 @@ pub fn parse(input: &str) -> Result<JsonValue, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     at: usize,
 }
@@ -261,12 +262,15 @@ impl Parser<'_> {
                     self.at += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (may span multiple bytes).
-                    let rest = std::str::from_utf8(&self.bytes[self.at..])
-                        .map_err(|_| "invalid UTF-8")?;
-                    let c = rest.chars().next().expect("peeked nonempty");
-                    out.push(c);
-                    self.at += c.len_utf8();
+                    // Copy the whole unescaped run up to the next quote or
+                    // backslash as one slice. Both are ASCII, so the run
+                    // starts and ends on char boundaries of the input.
+                    let run = self.bytes[self.at..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.at);
+                    out.push_str(&self.text[self.at..self.at + run]);
+                    self.at += run;
                 }
             }
         }
@@ -306,6 +310,28 @@ mod tests {
         assert_eq!(v.get("a").and_then(|a| a.idx(2)).and_then(|n| n.as_f64()), Some(300.0));
         assert_eq!(v.get("b").and_then(|b| b.get("c")), Some(&JsonValue::Bool(true)));
         assert_eq!(v.get("e").and_then(|e| e.as_str()), Some("x"));
+    }
+
+    #[test]
+    fn multi_megabyte_string_parses_in_linear_time() {
+        // Unescaped runs, escapes and multi-byte characters, 4 MiB in all.
+        let unit = "plain run ünïcödé \u{1F600} and \"quotes\" \\ and\nlines ";
+        let body: String = unit.repeat((4 << 20) / unit.len());
+        let doc = format!("{{\"s\": \"{}\", \"n\": 1}}", escape(&body));
+        let start = std::time::Instant::now();
+        let v = parse(&doc).unwrap();
+        let took = start.elapsed();
+        assert_eq!(v.get("s").and_then(JsonValue::as_str), Some(body.as_str()));
+        assert_eq!(v.get("n").and_then(JsonValue::as_f64), Some(1.0));
+        let limit = if cfg!(debug_assertions) { 10.0 } else { 1.0 };
+        assert!(took.as_secs_f64() < limit, "4 MiB string took {took:?}");
+    }
+
+    #[test]
+    fn unterminated_string_is_an_error() {
+        assert!(parse("\"abc").is_err());
+        assert!(parse("\"abc\\").is_err());
+        assert_eq!(parse("\"\"").unwrap(), JsonValue::Str(String::new()));
     }
 
     #[test]

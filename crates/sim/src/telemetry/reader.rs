@@ -265,6 +265,31 @@ mod tests {
     }
 
     #[test]
+    fn large_trace_reads_in_linear_time() {
+        // ~60k rows (several MB): string-heavy rows like a real launch
+        // trace, where parse cost used to grow with the square of size.
+        let events: Vec<Event> = (0..20_000u32)
+            .flat_map(|i| {
+                let ts = f64::from(i) * 1e-6;
+                [
+                    Event { ts, pe: i % 4, kind: EventKind::MsgSend { dst: (i + 1) % 4, tag: 7, bytes: i } },
+                    Event { ts, pe: (i + 1) % 4, kind: EventKind::MsgDeliver { src: i % 4, tag: 7, bytes: i } },
+                    Event { ts, pe: i % 4, kind: EventKind::QueueDepth { depth: i % 64 } },
+                ]
+            })
+            .collect();
+        let body = chrome_trace(&events, 2);
+        assert!(body.len() > 4 << 20, "trace is only {} bytes", body.len());
+        let start = std::time::Instant::now();
+        let parsed = read_chrome_trace(&body).unwrap();
+        let took = start.elapsed();
+        assert_eq!(parsed.events.len(), events.len());
+        assert_eq!(parsed.skipped, 0);
+        let limit = if cfg!(debug_assertions) { 20.0 } else { 1.0 };
+        assert!(took.as_secs_f64() < limit, "{} byte trace took {took:?}", body.len());
+    }
+
+    #[test]
     fn rejects_non_trace_json() {
         assert!(read_chrome_trace("not json").is_err());
         assert!(read_chrome_trace("{\"counters\":{}}").is_err());

@@ -509,6 +509,12 @@ impl<T: dakc_net::Transport> dakc_net::Transport for DigestTransport<T> {
     fn try_recv(&mut self) -> NetResult<Option<(usize, Vec<u8>)>> {
         self.inner.try_recv()
     }
+    fn recv_timeout(
+        &mut self,
+        timeout: std::time::Duration,
+    ) -> NetResult<Option<(usize, Vec<u8>)>> {
+        self.inner.recv_timeout(timeout)
+    }
     fn flush(&mut self) -> NetResult<()> {
         self.inner.flush()
     }

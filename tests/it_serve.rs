@@ -11,10 +11,10 @@ use dakc::DakcConfig;
 use dakc_baselines::count_kmers_serial;
 use dakc_io::{generate_genome, simulate_reads, GenomeSpec, ReadSet, ReadSimConfig, RepeatProfile};
 use dakc_kmer::{owner_pe, CanonicalMode, KmerCount, KmerWord};
-use dakc_net::{NetError, NetTuning};
+use dakc_net::{NetError, NetTuning, TcpTransport};
 use dakc_serve::{
-    build_shards, start_cluster, start_cluster_replicated, shard_path, write_shard,
-    ClusterChaos, LookupResult, ServeError, Shard,
+    build_shards, serve_shard, start_cluster, start_cluster_replicated, shard_path, write_shard,
+    ClusterChaos, LookupResult, QueryClient, ServeError, ServeOpts, Shard,
 };
 use dakc_sort::RadixKey;
 
@@ -289,4 +289,49 @@ fn replicated_cluster_fails_over_a_killed_server_with_complete_results() {
             assert!(o.is_ok(), "live server {rank} must exit cleanly: {o:?}");
         }
     }
+}
+
+/// A TCP server blocked on its inbox wakes when the client's connection
+/// ends: dropping the client without a SHUTDOWN ends the session at
+/// once, and the server reports the requests it answered.
+#[test]
+fn tcp_server_returns_promptly_after_the_client_drops() {
+    let reads = workload(0xD209);
+    let cfg = DakcConfig::paper_defaults(21);
+    let truth = reference::<u64>(&reads, 21, CanonicalMode::Forward);
+    let shard = build_shards::<u64>(&reads, &cfg, 1).expect("build").remove(0);
+    let dir = std::env::temp_dir().join(format!("dakc-it-serve-drop-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let joins: Vec<_> = (0..2)
+        .map(|rank| {
+            let dir = dir.clone();
+            std::thread::spawn(move || TcpTransport::rendezvous(rank, 2, &dir, 64 << 10))
+        })
+        .collect();
+    let mut mesh: Vec<TcpTransport> =
+        joins.into_iter().map(|h| h.join().unwrap().expect("rendezvous")).collect();
+    std::fs::remove_dir_all(&dir).ok();
+    let client_end = mesh.pop().unwrap();
+    let server_end = mesh.pop().unwrap();
+    let (ended_tx, ended_rx) = std::sync::mpsc::channel();
+    let server = std::thread::spawn(move || {
+        let out = serve_shard(&shard, server_end, &ServeOpts::default());
+        ended_tx.send(Instant::now()).unwrap();
+        out
+    });
+
+    let mut client =
+        QueryClient::<u64, _>::connect(client_end, NetTuning::default()).expect("connect");
+    let keys: Vec<u64> = truth.iter().take(64).map(|c| c.kmer).collect();
+    let out = client.lookup_batch(&keys).expect("lookup");
+    assert!(out.complete());
+    for (c, res) in truth.iter().zip(&out.results) {
+        assert_eq!(*res, LookupResult::Count(c.count));
+    }
+    let dropped = Instant::now();
+    drop(client);
+    let stats = server.join().unwrap().expect("a dropped client ends the session cleanly");
+    let waited = ended_rx.recv().unwrap().duration_since(dropped);
+    assert!(waited < Duration::from_secs(1), "server lingered {waited:?} after the client left");
+    assert_eq!((stats.requests, stats.lookups), (1, keys.len() as u64));
 }
